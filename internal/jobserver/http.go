@@ -1,10 +1,10 @@
 package jobserver
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -102,7 +102,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing tenant parameter")
 		return
 	}
-	cap, err := rig.ReadCapture(http.MaxBytesReader(w, r.Body, maxCaptureBytes))
+	body := declaredLen{http.MaxBytesReader(w, r.Body, maxCaptureBytes), r.ContentLength}
+	cap, err := rig.ReadCapture(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading capture: %v", err))
 		return
@@ -119,6 +120,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusAccepted, j.Snapshot())
 }
+
+// declaredLen reports a request body's Content-Length as its Len, which
+// rig.ReadCapture uses, clamped, to size its one read buffer.
+type declaredLen struct {
+	io.Reader
+	n int64 // -1 when unknown
+}
+
+func (b declaredLen) Len() int { return int(min(max(b.n, 0), maxCaptureBytes)) }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.Jobs(r.URL.Query().Get("tenant"))
@@ -175,11 +185,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = min(d, maxEventWait)
 	}
-	ctx := r.Context()
+	// A plain timer, not context.WithTimeout: a stopped WithTimeout timer
+	// stays queued until its deadline holding the request context, which
+	// reaches the http.Server and through it this Server and every job.
+	var expired <-chan time.Time
 	if wait > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, wait)
-		defer cancel()
+		t := time.NewTimer(wait) //dplint:allow determinism the long-poll budget is wall time on a live connection
+		defer t.Stop()
+		expired = t.C
 	}
 	for {
 		recs, updated := j.EventsSince(after)
@@ -195,10 +208,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-updated:
-		case <-ctx.Done():
-			writeJSON(w, http.StatusOK, eventsResponse{Job: j.ID, State: j.State().String(), Events: []ProgressRecord{}})
-			return
+			continue
+		case <-expired:
+		case <-r.Context().Done():
 		}
+		writeJSON(w, http.StatusOK, eventsResponse{Job: j.ID, State: j.State().String(), Events: []ProgressRecord{}})
+		return
 	}
 }
 

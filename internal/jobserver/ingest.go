@@ -240,6 +240,11 @@ func (ss *streamSession) Close(complete bool) {
 		telemetry.Int("frames", len(frames)))
 
 	j.mu.Lock()
+	if j.settledLocked() {
+		// Cancelled since the check above; finalize settles the books.
+		j.mu.Unlock()
+		return
+	}
 	j.capture = rig.Capture{Car: j.Car, Frames: frames}
 	j.state = Queued
 	j.notifyLocked()

@@ -147,6 +147,9 @@ type Job struct {
 	// cancelled is set by Cancel so a queued (or streaming) job is
 	// skipped when it surfaces.
 	cancelled bool
+	// finalizing is set once finalize claims the job, before the state
+	// turns terminal.
+	finalizing bool
 }
 
 // newJob builds a job in its initial state.
@@ -157,6 +160,10 @@ func newJob(id, tenant, car, streamName string, state JobState, submitted time.D
 		updated: make(chan struct{}),
 	}
 }
+
+// settledLocked reports whether the job is terminal or on its way there;
+// callers hold mu.
+func (j *Job) settledLocked() bool { return j.finalizing || j.state.Terminal() }
 
 // notifyLocked wakes every watcher; callers hold mu.
 func (j *Job) notifyLocked() {

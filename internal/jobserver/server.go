@@ -446,10 +446,10 @@ func (s *Server) worker(shardIdx int) {
 
 // runJob executes one job through the pipeline and finalises it.
 func (s *Server) runJob(j *Job) {
-	// Claim the job: a cancelled-in-queue job is already terminal and is
-	// simply skipped.
+	// Claim the job: a cancelled-in-queue job is already terminal (or
+	// being finalised) and is simply skipped.
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.settledLocked() {
 		j.mu.Unlock()
 		return
 	}
@@ -512,22 +512,22 @@ func (s *Server) runJob(j *Job) {
 }
 
 // finalize moves a job into a terminal state and settles the accounting.
+// The state turns terminal, and watchers wake, only after the tenant slot
+// is released and job-finished is logged: a client that sees the end can
+// resubmit at once and finds the whole flight record.
 func (s *Server) finalize(j *Job, final JobState, res *reverser.Result, errMsg string) {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.settledLocked() {
 		j.mu.Unlock()
 		return
 	}
+	j.finalizing = true
 	prev := j.state
-	j.state = final
-	j.result = res
-	j.errMsg = errMsg
-	j.finished = s.clock.Now()
+	finished := s.clock.Now()
 	var runTime time.Duration
 	if j.started > 0 {
-		runTime = j.finished - j.started
+		runTime = finished - j.started
 	}
-	j.notifyLocked()
 	j.mu.Unlock()
 
 	s.met.JobsByState.With(prev.String()).Add(-1)
@@ -557,6 +557,14 @@ func (s *Server) finalize(j *Job, final JobState, res *reverser.Result, errMsg s
 	} else {
 		j.runLogger().Info("job-finished", attrs...)
 	}
+
+	j.mu.Lock()
+	j.state = final
+	j.result = res
+	j.errMsg = errMsg
+	j.finished = finished
+	j.notifyLocked()
+	j.mu.Unlock()
 }
 
 // Job looks a job up by ID.
@@ -595,7 +603,7 @@ func (s *Server) Cancel(id string) error {
 	}
 	j.mu.Lock()
 	switch {
-	case j.state.Terminal():
+	case j.settledLocked():
 		j.mu.Unlock()
 		return nil
 	case j.state == Running:

@@ -1,6 +1,7 @@
 package rig
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,11 +29,47 @@ func (c Capture) Save(w io.Writer) error {
 	return nil
 }
 
-// ReadCapture deserialises a capture written by Save.
+// maxPresize caps the buffer ReadCapture allocates up front from a
+// reader's reported length, so a false length cannot buy a large
+// allocation. A longer document still reads in full.
+const maxPresize = 4 << 20
+
+// ReadCapture deserialises a capture written by Save. It reads r to the
+// end, into one buffer presized from r's Len method when r has one, and
+// decodes it with DecodeCapture.
 func ReadCapture(r io.Reader) (Capture, error) {
+	var hint int64
+	if l, ok := r.(interface{ Len() int }); ok {
+		hint = int64(l.Len())
+	}
+	return readCapture(r, hint)
+}
+
+func readCapture(r io.Reader, hint int64) (Capture, error) {
+	// The spare byte takes the read that reports EOF without growing; an
+	// unknown length starts where io.ReadAll does.
+	buf := make([]byte, 0, min(max(hint, 512), maxPresize)+1)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return DecodeCapture(buf)
+		}
+		if err != nil {
+			// A streaming decode of r would have seen these bytes and then
+			// this error; replaying both keeps its result and error text.
+			return decodeReference(io.MultiReader(bytes.NewReader(buf), errReader{err}))
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
+// decodeReference is the encoding/json decode DecodeCapture falls back to.
+func decodeReference(r io.Reader) (Capture, error) {
 	var env captureEnvelope
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&env); err != nil {
+	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return Capture{}, fmt.Errorf("rig: decoding capture: %w", err)
 	}
 	if env.Version != captureFormatVersion {
@@ -40,6 +77,11 @@ func ReadCapture(r io.Reader) (Capture, error) {
 	}
 	return env.Capture, nil
 }
+
+// errReader returns err on every read.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // SaveCaptureFile writes the capture to a file.
 func SaveCaptureFile(c Capture, path string) error {
@@ -64,5 +106,9 @@ func LoadCaptureFile(path string) (Capture, error) {
 		return Capture{}, fmt.Errorf("rig: opening capture file: %w", err)
 	}
 	defer f.Close()
-	return ReadCapture(f)
+	var size int64
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
+	return readCapture(f, size)
 }

@@ -73,14 +73,35 @@ func (r *Registry) family(name, help, kind string, buckets []float64, labels []s
 	return f
 }
 
+// labelEscaper escapes the series-key separator, and the escape byte,
+// inside a label value; most values contain neither.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\x1f", `\x1f`)
+
+const labelEscapable = "\\\x1f"
+
 // seriesKey joins label values with a separator that cannot appear
-// unescaped; label values are free-form, so escape the separator.
+// unescaped; label values are free-form, so escape the separator. A lone
+// value with nothing to escape is its own key.
 func seriesKey(values []string) string {
-	esc := make([]string, len(values))
-	for i, v := range values {
-		esc[i] = strings.NewReplacer(`\`, `\\`, "\x1f", `\x1f`).Replace(v)
+	if len(values) == 1 && !strings.ContainsAny(values[0], labelEscapable) {
+		return values[0]
 	}
-	return strings.Join(esc, "\x1f")
+	n := len(values)
+	for _, v := range values {
+		n += len(v)
+	}
+	var b strings.Builder
+	b.Grow(n) // enough unless a value needs escaping
+	for i, v := range values {
+		if i > 0 {
+			b.WriteByte('\x1f')
+		}
+		if strings.ContainsAny(v, labelEscapable) {
+			v = labelEscaper.Replace(v)
+		}
+		b.WriteString(v)
+	}
+	return b.String()
 }
 
 func (f *family) get(values []string, make func() any) any {

@@ -232,3 +232,26 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatalf("vec total = %v, want 8000", sum)
 	}
 }
+
+func TestSeriesKeyEscapesSeparator(t *testing.T) {
+	keys := map[string][]string{}
+	for _, vals := range [][]string{
+		{"a\x1fb"}, {"a", "b"}, {`a\`, "b"}, {`a\x1fb`}, {"a\\\x1fb"}, {"ab"}, {""}, {"", ""},
+	} {
+		k := seriesKey(vals)
+		if prev, dup := keys[k]; dup {
+			t.Fatalf("%q and %q share series key %q", prev, vals, k)
+		}
+		keys[k] = vals
+	}
+}
+
+func TestSeriesKeyUnescapedAllocs(t *testing.T) {
+	one, two := []string{"running"}, []string{"acme", "queue-full"}
+	if n := testing.AllocsPerRun(100, func() { seriesKey(one) }); n != 0 {
+		t.Fatalf("one plain value: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { seriesKey(two) }); n != 1 {
+		t.Fatalf("two plain values: %v allocs, want 1", n)
+	}
+}
