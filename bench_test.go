@@ -103,8 +103,9 @@ func BenchmarkPolyFit(b *testing.B) {
 
 // --- E6 / Table 9: transport assembly throughput ---
 
-// BenchmarkISOTPAssemble measures reassembling a realistic multi-frame UDS
-// capture (the Table 9 screening+assembly path).
+// BenchmarkISOTPAssemble measures the pipeline's "assemble" stage —
+// columnar transpose plus screening and reassembly — over a realistic
+// multi-frame UDS capture (the Table 9 path).
 func BenchmarkISOTPAssemble(b *testing.B) {
 	var frames []can.Frame
 	payload := make([]byte, 60)
@@ -124,14 +125,18 @@ func BenchmarkISOTPAssemble(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		msgs, _ := reverser.Assemble(frames)
-		if len(msgs) != 100 {
-			b.Fatalf("messages = %d", len(msgs))
+		ms, _, err := reverser.AssembleColumnar(context.Background(), reverser.FramesColumnar(frames), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ms.Len() != 100 {
+			b.Fatalf("messages = %d", ms.Len())
 		}
 	}
 }
 
-// BenchmarkVWTPAssemble measures reassembling VW TP 2.0 traffic.
+// BenchmarkVWTPAssemble measures the "assemble" stage over VW TP 2.0
+// traffic.
 func BenchmarkVWTPAssemble(b *testing.B) {
 	var frames []can.Frame
 	frames = append(frames, can.MustFrame(0x201, []byte{0x00, 0xD0, 0x41, 0x07, 0x01, 0x03, 0x01}))
@@ -150,9 +155,12 @@ func BenchmarkVWTPAssemble(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		msgs, _ := reverser.Assemble(frames)
-		if len(msgs) != 100 {
-			b.Fatalf("messages = %d", len(msgs))
+		ms, _, err := reverser.AssembleColumnar(context.Background(), reverser.FramesColumnar(frames), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ms.Len() != 100 {
+			b.Fatalf("messages = %d", ms.Len())
 		}
 	}
 }
@@ -421,7 +429,7 @@ func BenchmarkAblationTable2ScalingOn(b *testing.B) {
 	ablationPrecision(b, func(seed int64) (*gp.Node, error) {
 		cfg := ablationGPConfig(seed)
 		cfg.DisableLinearScaling = true // isolate Table 2's effect
-		res, err := scaling.Infer(d, cfg)
+		res, err := scaling.InferContext(context.Background(), d, cfg)
 		return res.Best, err
 	})
 }

@@ -6,9 +6,9 @@
 // The output file is a history document {"entries": [...]}: each run
 // appends one dated entry instead of clobbering what is there, so the
 // baseline's past stays diffable. Re-running on the same date with the
-// same -quick setting replaces that day's entry (idempotent re-runs); a
-// legacy single-report file is converted to a one-entry history on first
-// merge.
+// same -quick setting replaces that day's entry (idempotent re-runs). An
+// existing file that is not such a history is an error, never
+// overwritten.
 //
 // The workloads mirror the repo's benchmarks: the per-sample tree
 // interpreter vs the compiled batch VM (BenchmarkGPTreeEval /
@@ -31,7 +31,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -76,27 +75,6 @@ type report struct {
 // history is the whole BENCH_gp.json document: every recorded run, oldest
 // first (the artifact format shared with BENCH_server.json).
 type history = benchdoc.History[report]
-
-// loadHistory reads an existing output file, converting the legacy
-// single-report format (pre-history baselines) into a one-entry history.
-// A missing file is an empty history.
-func loadHistory(path string) (history, error) {
-	h, raw, err := benchdoc.Load[report](path)
-	if err != nil {
-		return history{}, err
-	}
-	if h.Entries != nil || raw == nil {
-		return h, nil
-	}
-	var legacy report
-	if err := json.Unmarshal(raw, &legacy); err == nil && len(legacy.Benchmarks) > 0 {
-		if legacy.Date == "" {
-			legacy.Date = "unknown"
-		}
-		return history{Entries: []report{legacy}}, nil
-	}
-	return history{}, fmt.Errorf("%s: not a benchmark history or legacy report", path)
-}
 
 // allocRatchetSlack is the tolerated allocs/op growth for GPInferOBD
 // over the committed baseline: allocation counts are deterministic
@@ -272,7 +250,7 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "%-28s %d evals, %.1f%% cache hits\n",
 		"GPFitnessCache", rep.Cache.Evaluations, 100*rep.Cache.HitRate)
 
-	hist, err := loadHistory(*out)
+	hist, err := benchdoc.Load[report](*out)
 	if err != nil {
 		return err
 	}

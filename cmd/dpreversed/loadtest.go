@@ -246,7 +246,7 @@ func runLoadtest(cfg jobserver.Config, opt loadtestOptions) error {
 	rep.QueueWait = summarise(queueWaits)
 	rep.Run = summarise(runs)
 
-	hist, _, err := benchdoc.Load[serverReport](opt.Out)
+	hist, err := benchdoc.Load[serverReport](opt.Out)
 	if err != nil {
 		return err
 	}

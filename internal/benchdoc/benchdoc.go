@@ -19,22 +19,26 @@ type History[E any] struct {
 	Entries []E `json:"entries"`
 }
 
-// Load reads a history file; a missing file is an empty history. The raw
-// bytes are returned alongside so callers with pre-history baselines can
-// attempt a legacy-format conversion when no entries decoded.
-func Load[E any](path string) (History[E], []byte, error) {
+// Load reads a history file; a missing file is an empty history. A file
+// that exists but is not a history — truncated, not JSON, or a JSON
+// document without an "entries" list — is an error, so a caller that
+// merges and writes back never overwrites what it could not read.
+func Load[E any](path string) (History[E], error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return History[E]{}, nil, nil
+		return History[E]{}, nil
 	}
 	if err != nil {
-		return History[E]{}, nil, err
+		return History[E]{}, err
 	}
 	var h History[E]
-	if err := json.Unmarshal(data, &h); err == nil && h.Entries != nil {
-		return h, data, nil
+	if err := json.Unmarshal(data, &h); err != nil {
+		return History[E]{}, fmt.Errorf("benchdoc: %s: %w", path, err)
 	}
-	return History[E]{}, data, nil
+	if h.Entries == nil {
+		return History[E]{}, fmt.Errorf("benchdoc: %s: not a benchmark history (no \"entries\" list)", path)
+	}
+	return h, nil
 }
 
 // Merge inserts e, replacing the first entry same() accepts and appending

@@ -561,7 +561,7 @@ func (e *evaluator) scoreAll(trees []*Node, out []individual, off int) {
 	e.codeSlab = e.codeSlab[:0]
 	clear(e.pending)
 	for i, t := range trees {
-		depth, hash := e.comp.compile(t)
+		depth := e.comp.compile(t)
 		size := e.comp.nodes
 		if ent, ok := e.cache[string(e.comp.key)]; ok {
 			e.hits++
@@ -580,7 +580,7 @@ func (e *evaluator) scoreAll(trees []*Node, out []individual, off int) {
 		e.codeSlab = append(e.codeSlab, e.comp.code...)
 		e.progs = append(e.progs, Program{
 			code:  e.codeSlab[co:len(e.codeSlab):len(e.codeSlab)],
-			depth: depth, key: key, hash: hash,
+			depth: depth, key: key,
 		})
 		e.pending[key] = len(e.missq)
 		e.missq = append(e.missq, missRef{i: i, size: size, p: &e.progs[len(e.progs)-1]})

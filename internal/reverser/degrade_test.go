@@ -28,11 +28,11 @@ func TestParseFaultPolicy(t *testing.T) {
 	}
 }
 
-func TestAssembleContextCancelled(t *testing.T) {
+func TestAssembleColumnarCancelled(t *testing.T) {
 	cap, _ := collect(t, "Car M")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := AssembleContext(ctx, cap.Frames, nil)
+	_, _, err := AssembleColumnar(ctx, FramesColumnar(cap.Frames), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -187,9 +187,6 @@ func TestReverseStrictPolicyFailsOnDegraded(t *testing.T) {
 	cfg := testConfig()
 	cfg.GP.Observer = panicObserver{}
 	rv := New(WithConfig(cfg), WithFaultPolicy(Strict))
-	if rv.Policy() != Strict {
-		t.Fatal("policy not applied")
-	}
 	res, err := rv.Reverse(context.Background(), cap)
 	if res != nil {
 		t.Fatal("strict run returned a result alongside the error")

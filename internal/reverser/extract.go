@@ -105,31 +105,21 @@ type Extraction struct {
 	kwpSlab []byte
 }
 
-// ExtractFields implements §3.2 Step 3 over an assembled message stream:
-// it pairs responses with the most recent matching request and splits the
-// payloads into manufacturer-defined fields. It is a compatibility
-// wrapper: the messages are transposed into a columnar store and handed
-// to ExtractFieldsColumnar, which the pipeline calls directly.
-func ExtractFields(messages []Message) *Extraction {
-	ms := colstore.NewMessages(len(messages), 0)
-	for _, m := range messages {
-		ms.Append(m.At, m.ID, m.Addr, uint8(m.Transport), m.Payload)
-	}
-	return ExtractFieldsColumnar(ms)
-}
-
 // transportKinds bounds the pairing state arrays below.
 const transportKinds = 3
 
-// ExtractFieldsColumnar runs field extraction by indexing into the
-// columnar message store. Pairing state lives in transport-indexed
-// arrays — requests and responses travel on different CAN IDs (and, for
-// BMW, carry each other's addresses), but a capture's conversation is
-// serialised per transport kind, since tools wait for each response
-// before the next request — so claiming a pending slot costs no map
-// lookup and no key formatting. Extracted ESV bytes are views into the
-// store's slab (or, for KWP's decoded triples, into an extraction-owned
-// slab); the Extraction keeps the store alive through those views.
+// ExtractFieldsColumnar implements §3.2 Step 3 over an assembled
+// message store: it pairs responses with the most recent matching
+// request and splits the payloads into manufacturer-defined fields,
+// indexing straight into the store's columns. Pairing state lives in
+// transport-indexed arrays — requests and responses travel on different
+// CAN IDs (and, for BMW, carry each other's addresses), but a capture's
+// conversation is serialised per transport kind, since tools wait for
+// each response before the next request — so claiming a pending slot
+// costs no map lookup and no key formatting. Extracted ESV bytes are
+// views into the store's slab (or, for KWP's decoded triples, into an
+// extraction-owned slab); the Extraction keeps the store alive through
+// those views.
 //
 //dplint:hotpath extract-fields
 func ExtractFieldsColumnar(ms *colstore.Messages) *Extraction {

@@ -2,10 +2,12 @@ package reverser
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"dpreverser/internal/bmwtp"
 	"dpreverser/internal/can"
+	"dpreverser/internal/colstore"
 	"dpreverser/internal/isotp"
 	"dpreverser/internal/vwtp"
 )
@@ -17,6 +19,23 @@ func framesFromData(id uint32, fields [][]byte) []can.Frame {
 		out = append(out, can.MustFrame(id, d))
 	}
 	return out
+}
+
+// assemble runs the pipeline's assembly stage over a raw capture.
+func assemble(t testing.TB, frames []can.Frame) (*colstore.Messages, TrafficStats) {
+	t.Helper()
+	ms, stats, err := AssembleColumnar(context.Background(), FramesColumnar(frames), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms, stats
+}
+
+// extract runs assembly and field extraction over a raw capture.
+func extract(t testing.TB, frames []can.Frame) *Extraction {
+	t.Helper()
+	ms, _ := assemble(t, frames)
+	return ExtractFieldsColumnar(ms)
 }
 
 func TestAssembleISOTPSingleAndMulti(t *testing.T) {
@@ -34,15 +53,15 @@ func TestAssembleISOTPSingleAndMulti(t *testing.T) {
 	// A flow-control frame interleaves on the request ID.
 	frames = append(frames, can.MustFrame(0x7E0, isotp.EncodeFlowControl(isotp.ContinueToSend, 0, 0)))
 
-	msgs, stats := Assemble(frames)
-	if len(msgs) != 2 {
-		t.Fatalf("messages = %d, want 2", len(msgs))
+	ms, stats := assemble(t, frames)
+	if ms.Len() != 2 {
+		t.Fatalf("messages = %d, want 2", ms.Len())
 	}
-	if !bytes.Equal(msgs[0].Payload, []byte{0x3E, 0x00}) {
-		t.Fatalf("first message = % X", msgs[0].Payload)
+	if !bytes.Equal(ms.Payload(0), []byte{0x3E, 0x00}) {
+		t.Fatalf("first message = % X", ms.Payload(0))
 	}
-	if !bytes.Equal(msgs[1].Payload, long) {
-		t.Fatalf("second message = % X", msgs[1].Payload)
+	if !bytes.Equal(ms.Payload(1), long) {
+		t.Fatalf("second message = % X", ms.Payload(1))
 	}
 	if stats.ISOTPSingle != 1 || stats.ISOTPFirst != 1 || stats.ISOTPFlowControl != 1 {
 		t.Fatalf("stats = %+v", stats)
@@ -65,15 +84,15 @@ func TestAssembleVWTPLearnsChannelFromSetup(t *testing.T) {
 	// An ACK frame must be screened out.
 	frames = append(frames, can.MustFrame(0x741, vwtp.EncodeACK(1, true)))
 
-	msgs, stats := Assemble(frames)
-	if len(msgs) != 1 {
-		t.Fatalf("messages = %d, want 1 (stats %+v)", len(msgs), stats)
+	ms, stats := assemble(t, frames)
+	if ms.Len() != 1 {
+		t.Fatalf("messages = %d, want 1 (stats %+v)", ms.Len(), stats)
 	}
-	if !bytes.Equal(msgs[0].Payload, payload) {
-		t.Fatalf("payload = % X", msgs[0].Payload)
+	if !bytes.Equal(ms.Payload(0), payload) {
+		t.Fatalf("payload = % X", ms.Payload(0))
 	}
-	if msgs[0].Transport != TransportVWTP {
-		t.Fatalf("transport = %v", msgs[0].Transport)
+	if TransportKind(ms.Transport(0)) != TransportVWTP {
+		t.Fatalf("transport = %v", TransportKind(ms.Transport(0)))
 	}
 	if stats.VWTPControl < 2 { // setup + ACK
 		t.Fatalf("stats = %+v", stats)
@@ -90,15 +109,15 @@ func TestAssembleBMWExtendedAddressing(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := framesFromData(0x629, fields)
-	msgs, stats := Assemble(frames)
-	if len(msgs) != 1 {
-		t.Fatalf("messages = %d (stats %+v)", len(msgs), stats)
+	ms, stats := assemble(t, frames)
+	if ms.Len() != 1 {
+		t.Fatalf("messages = %d (stats %+v)", ms.Len(), stats)
 	}
-	if msgs[0].Transport != TransportBMW || msgs[0].Addr != 0xF1 {
-		t.Fatalf("message = %+v", msgs[0])
+	if TransportKind(ms.Transport(0)) != TransportBMW || ms.Addr(0) != 0xF1 {
+		t.Fatalf("message transport %v addr %02X", TransportKind(ms.Transport(0)), ms.Addr(0))
 	}
-	if !bytes.Equal(msgs[0].Payload, payload) {
-		t.Fatalf("payload = % X", msgs[0].Payload)
+	if !bytes.Equal(ms.Payload(0), payload) {
+		t.Fatalf("payload = % X", ms.Payload(0))
 	}
 	if stats.ISOTPFirst != 1 {
 		t.Fatalf("stats = %+v", stats)
@@ -127,13 +146,13 @@ func TestAssembleInterleavedIDs(t *testing.T) {
 			frames = append(frames, can.MustFrame(0x703, fb[i]))
 		}
 	}
-	msgs, _ := Assemble(frames)
-	if len(msgs) != 2 {
-		t.Fatalf("messages = %d, want 2", len(msgs))
+	ms, _ := assemble(t, frames)
+	if ms.Len() != 2 {
+		t.Fatalf("messages = %d, want 2", ms.Len())
 	}
 	got := map[uint32][]byte{}
-	for _, m := range msgs {
-		got[m.ID] = m.Payload
+	for i := 0; i < ms.Len(); i++ {
+		got[ms.ID(i)] = ms.Payload(i)
 	}
 	if !bytes.Equal(got[0x701], longA) || !bytes.Equal(got[0x703], longB) {
 		t.Fatal("interleaved reassembly corrupted")
@@ -144,7 +163,7 @@ func TestAssembleCountsErrors(t *testing.T) {
 	frames := []can.Frame{
 		can.MustFrame(0x700, []byte{0x22, 1, 2, 3, 4, 5, 6, 7}), // CF without FF
 	}
-	_, stats := Assemble(frames)
+	_, stats := assemble(t, frames)
 	if stats.AssemblyErrors != 1 {
 		t.Fatalf("AssemblyErrors = %d", stats.AssemblyErrors)
 	}

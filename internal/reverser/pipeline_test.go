@@ -111,7 +111,7 @@ func TestReverseCarMEndToEnd(t *testing.T) {
 		// The inferred formula must agree with the proprietary decode over
 		// the byte values actually observed in traffic — the paper's
 		// functional-equivalence criterion.
-		if !formulaMatchesDecode(cap, e.Key, e.Formula, spec.Codec) {
+		if !formulaMatchesDecode(t, cap, e.Key, e.Formula, spec.Codec) {
 			t.Errorf("stream %v (%s): formula %q diverges from truth %q over observed domain",
 				e.Key, e.Label, e.Formula, spec.Codec.Expr)
 		}
@@ -126,9 +126,8 @@ func TestReverseCarMEndToEnd(t *testing.T) {
 // stream and checks the inferred formula against the proprietary decode on
 // every observed value — the domain over which the paper scores formula
 // equivalence.
-func formulaMatchesDecode(cap rig.Capture, key StreamKey, f *gp.Node, codec ecu.Codec) bool {
-	messages, _ := Assemble(cap.Frames)
-	ext := ExtractFields(messages)
+func formulaMatchesDecode(t *testing.T, cap rig.Capture, key StreamKey, f *gp.Node, codec ecu.Codec) bool {
+	ext := extract(t, cap.Frames)
 	checked := 0
 	for _, o := range ext.ESVs {
 		if o.Key != key {
@@ -350,8 +349,7 @@ func TestReverseFromPersistedCapture(t *testing.T) {
 // must classify them as requests and not let them disturb ESV streams.
 func TestKWPIdentificationTrafficScreened(t *testing.T) {
 	cap, _ := collect(t, "Car B")
-	messages, _ := Assemble(cap.Frames)
-	ext := ExtractFields(messages)
+	ext := extract(t, cap.Frames)
 	if ext.Requests[0x1A] == 0 {
 		t.Fatal("no readECUIdentification requests in the capture")
 	}

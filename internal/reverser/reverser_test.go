@@ -174,14 +174,11 @@ func TestReverseProgressEvents(t *testing.T) {
 }
 
 func TestOptionsApply(t *testing.T) {
-	gpCfg := DefaultConfig().GP
-	gpCfg.Seed = 99
-	rv := New(
-		WithGPConfig(gpCfg),
-		WithPairMaxGap(250*time.Millisecond),
-		WithMinPairs(17),
-		WithParallelism(3),
-	)
+	want := DefaultConfig()
+	want.GP.Seed = 99
+	want.PairMaxGap = 250 * time.Millisecond
+	want.MinPairs = 17
+	rv := New(WithConfig(want), WithParallelism(3))
 	cfg := rv.Config()
 	if cfg.GP.Seed != 99 || cfg.PairMaxGap != 250*time.Millisecond || cfg.MinPairs != 17 {
 		t.Fatalf("options not applied: %+v", cfg)

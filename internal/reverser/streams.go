@@ -10,7 +10,6 @@ import (
 	"dpreverser/internal/colstore"
 	"dpreverser/internal/gp"
 	"dpreverser/internal/ocr"
-	"dpreverser/internal/rig"
 	"dpreverser/internal/scaling"
 )
 
@@ -42,23 +41,6 @@ type StreamData struct {
 	RawDataset *gp.Dataset
 }
 
-// ExtractStreams runs the pipeline's front half — assembly, extraction,
-// alignment, session splitting, semantics, pairing, filtering, aggregation
-// — and returns one StreamData per observed stream plus the traffic stats
-// and the estimated clock offset.
-//
-// (*Reverser).Reverse performs the same work but shares one assembly pass
-// with the rest of the pipeline and publishes the streams on
-// Result.Streams; this entry point remains for callers that only need the
-// front half.
-func ExtractStreams(cap rig.Capture, cfg Config) ([]StreamData, TrafficStats, time.Duration) {
-	fr := FramesColumnar(cap.Frames)
-	ms, stats, _ := AssembleColumnar(context.Background(), fr, nil)
-	ext := ExtractFieldsColumnar(ms)
-	offset, uiFrames := alignUI(fr, cap.UIFrames)
-	return streamsFromExtraction(ext, uiFrames, cfg), stats, offset
-}
-
 // alignUI estimates the camera-to-CAN clock offset (§3.3) and returns the
 // UI frames shifted onto the traffic clock. Captures with no usable OBD
 // anchors keep their raw timestamps and a zero offset.
@@ -70,8 +52,8 @@ func alignUI(fr *colstore.Frames, uiFrames []ocr.Frame) (time.Duration, []ocr.Fr
 }
 
 // streamsFromExtraction builds the per-stream datasets from an already
-// extracted capture — the back half of ExtractStreams, reused by the
-// pipeline so the capture is assembled exactly once.
+// extracted capture: session splitting, semantics, pairing, filtering and
+// aggregation, one StreamData per observed stream.
 func streamsFromExtraction(ext *Extraction, uiFrames []ocr.Frame, cfg Config) []StreamData {
 	var out []StreamData
 	for _, sess := range splitSessions(uiFrames) {

@@ -185,14 +185,9 @@ func substituteVars(n *gp.Node, factors []float64) *gp.Node {
 	return out
 }
 
-// Infer is the pipeline entry point: plan, scale, run GP on the scaled
-// data, and restore the formula to original units.
-func Infer(d *gp.Dataset, cfg gp.Config) (gp.Result, error) {
-	return InferContext(context.Background(), d, cfg)
-}
-
-// InferContext is Infer with cancellation: ctx is handed to the GP engine,
-// which checks it between generations.
+// InferContext is the pipeline entry point: plan, scale, run GP on the
+// scaled data, and restore the formula to original units. ctx is handed
+// to the GP engine, which checks it between generations.
 func InferContext(ctx context.Context, d *gp.Dataset, cfg gp.Config) (gp.Result, error) {
 	plan := PlanFor(d)
 	scaled := plan.Apply(d)

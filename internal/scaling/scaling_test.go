@@ -1,6 +1,7 @@
 package scaling
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -146,7 +147,7 @@ func TestApplyRestoreRoundTripProperty(t *testing.T) {
 
 func TestInferEndToEndWithLargeMagnitudes(t *testing.T) {
 	// Y = 4*X over X in the thousands — exactly the case Table 2 exists
-	// for. Infer must return a formula in original units.
+	// for. InferContext must return a formula in original units.
 	d := &gp.Dataset{}
 	for x := 1000.0; x <= 3000; x += 50 {
 		d.X = append(d.X, []float64{x})
@@ -156,18 +157,18 @@ func TestInferEndToEndWithLargeMagnitudes(t *testing.T) {
 	cfg.PopulationSize = 200
 	cfg.Generations = 15
 	cfg.Seed = 5
-	res, err := Infer(d, cfg)
+	res, err := InferContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	truth := gp.NewBinary(gp.OpMul, gp.NewConst(4), gp.NewVar(0))
 	if !gp.EquivalentRel(res.Best, truth, d.X, 1.0, 0.02) {
-		t.Fatalf("Infer recovered %q (fitness %v)", res.Best, res.Fitness)
+		t.Fatalf("InferContext recovered %q (fitness %v)", res.Best, res.Fitness)
 	}
 }
 
 func TestInferPropagatesErrors(t *testing.T) {
-	if _, err := Infer(&gp.Dataset{}, gp.DefaultConfig()); err == nil {
+	if _, err := InferContext(context.Background(), &gp.Dataset{}, gp.DefaultConfig()); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
 }

@@ -86,14 +86,6 @@ func (s *SLO) Name() string {
 	return s.name
 }
 
-// Objective returns the latency bound.
-func (s *SLO) Objective() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.objective
-}
-
 // Target returns the promised good fraction.
 func (s *SLO) Target() float64 {
 	if s == nil {
